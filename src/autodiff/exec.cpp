@@ -349,53 +349,11 @@ backwardOp(const BackwardArgs& args)
             });
         break;
       }
-      case Op::SegmentProductComplement: {
-        if (!gaPtr)
-            break;
-        Tensor& ga = *gaPtr;
-        const Tensor& x = *args.a;
-        const SegmentIndex* segs = node.segs;
-        parallelChunks(
-            args.backend != Backend::Scalar, ga.rows(),
-            rowGrain(ga.cols()),
-            [&](std::size_t rowBegin, std::size_t rowEnd) {
-                // Per-chunk scratch: rows in other chunks run concurrently.
-                std::vector<float> prefix;
-                std::vector<float> suffix;
-                for (std::size_t r = rowBegin; r < rowEnd; ++r) {
-                    const float* xr = x.row(r);
-                    const float* gr = g.row(r);
-                    float* gar = ga.row(r);
-                    for (std::size_t s = 0; s < segs->numSegments(); ++s) {
-                        const std::uint32_t begin = segs->offsets[s];
-                        const std::uint32_t end = segs->offsets[s + 1];
-                        const std::size_t len = end - begin;
-                        if (len == 0)
-                            continue;
-                        prefix.assign(len + 1, 1.0f);
-                        suffix.assign(len + 1, 1.0f);
-                        for (std::size_t e = 0; e < len; ++e) {
-                            prefix[e + 1] =
-                                prefix[e] *
-                                (1.0f - xr[segs->items[begin + e]]);
-                        }
-                        for (std::size_t e = len; e > 0; --e) {
-                            suffix[e - 1] =
-                                suffix[e] *
-                                (1.0f - xr[segs->items[begin + e - 1]]);
-                        }
-                        for (std::size_t e = 0; e < len; ++e) {
-                            const std::uint32_t col =
-                                segs->items[begin + e];
-                            // d/dx_e prod (1 - x_k) = -prod_{k!=e} (1 - x_k)
-                            gar[col] +=
-                                gr[s] * (-prefix[e] * suffix[e + 1]);
-                        }
-                    }
-                }
-            });
+      case Op::SegmentProductComplement:
+        if (gaPtr)
+            tensor::segmentProductComplementBackwardInto(
+                *args.a, g, *node.segs, *gaPtr, args.backend);
         break;
-      }
       case Op::SegmentMaxGather: {
         if (!gaPtr)
             break;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "tensor/kernels_avx2.hpp"
 #include "tensor/simd.hpp"
@@ -31,6 +33,56 @@ matmulSquare(const double* a, const double* b, double* c, std::size_t d)
             double* cRow = c + i * d;
             for (std::size_t j = 0; j < d; ++j)
                 cRow[j] += aik * bRow[j];
+        }
+    }
+}
+
+/** Row-compressed nonzeros of a d x d matrix. */
+struct SparseRows
+{
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> cols;
+    std::vector<double> values;
+};
+
+SparseRows
+sparseRows(const double* b, std::size_t d)
+{
+    SparseRows rows;
+    rows.offsets.reserve(d + 1);
+    rows.offsets.push_back(0);
+    for (std::size_t k = 0; k < d; ++k) {
+        for (std::size_t j = 0; j < d; ++j) {
+            if (b[k * d + j] != 0.0) {
+                rows.cols.push_back(static_cast<std::uint32_t>(j));
+                rows.values.push_back(b[k * d + j]);
+            }
+        }
+        rows.offsets.push_back(static_cast<std::uint32_t>(rows.cols.size()));
+    }
+    return rows;
+}
+
+/**
+ * c = a * b with b given by its row nonzeros: matmulSquare's ikj loop
+ * minus the addends a[i][k] * b[k][j] with b[k][j] == 0. For finite a
+ * such an addend is exactly +-0, and a sum that starts at +0 never
+ * becomes -0 (x + -0 == x, +0 + -0 == +0), so dropping it changes no
+ * bit of c.
+ */
+void
+matmulSparseRight(const double* a, const SparseRows& b, double* c,
+                  std::size_t d)
+{
+    std::fill(c, c + d * d, 0.0);
+    for (std::size_t i = 0; i < d; ++i) {
+        double* cRow = c + i * d;
+        for (std::size_t k = 0; k < d; ++k) {
+            const double aik = a[i * d + k];
+            if (aik == 0.0)
+                continue;
+            for (std::uint32_t e = b.offsets[k]; e < b.offsets[k + 1]; ++e)
+                cRow[b.cols[e]] += aik * b.values[e];
         }
     }
 }
@@ -79,6 +131,9 @@ expmDouble(const double* a, std::size_t d, double* out)
     std::vector<double> result(n2, 0.0);
     for (std::size_t i = 0; i < d; ++i)
         result[i * d + i] = 1.0;
+    // Every Taylor product multiplies by `scaled`, whose nonzeros (the
+    // SCC's weighted edges) are gathered once.
+    const SparseRows scaledRows = sparseRows(scaled.data(), d);
     std::vector<double> power(scaled);
     std::vector<double> temp(n2);
     double factorial = 1.0;
@@ -89,7 +144,7 @@ expmDouble(const double* a, std::size_t d, double* out)
         for (std::size_t i = 0; i < n2; ++i)
             result[i] += power[i] * inv;
         if (term < kTerms) {
-            matmulSquare(power.data(), scaled.data(), temp.data(), d);
+            matmulSparseRight(power.data(), scaledRows, temp.data(), d);
             power.swap(temp);
         }
     }

@@ -19,7 +19,8 @@ namespace smoothe::ad {
 /**
  * Computes out = exp(a) for a dense row-major d x d matrix.
  * Internals run in double precision; inputs/outputs are float.
- * Complexity O(d^3 * (taylor terms + squarings)).
+ * Complexity O(d * nnz(a) * taylor terms + d^3 * squarings): the series
+ * multiplies by a through its row nonzeros only.
  */
 void expm(const float* a, std::size_t d, float* out);
 

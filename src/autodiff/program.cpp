@@ -1,5 +1,6 @@
 #include "autodiff/program.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -117,6 +118,14 @@ hasSimdVariant(Op op)
     }
 }
 
+/** Ops whose backward kernel has an explicit AVX2 variant; their
+ *  backward slots get the same suffix as the forward ones. */
+bool
+hasBackwardSimdVariant(Op op)
+{
+    return op == Op::SegmentProductComplement;
+}
+
 /** Static per-execution cost estimate for one op (both phases). */
 struct OpCost
 {
@@ -137,7 +146,8 @@ struct OpCost
 OpCost
 estimateOpCost(const OpNode& node, std::uint64_t rows, std::uint64_t cols,
                std::uint64_t aRows, std::uint64_t aCols,
-               std::uint64_t bRows, std::uint64_t bCols)
+               std::uint64_t bRows, std::uint64_t bCols,
+               std::uint64_t aNonzeros)
 {
     namespace cost = tensor::cost;
     const std::uint64_t F = cost::kElemBytes;
@@ -215,11 +225,17 @@ estimateOpCost(const OpNode& node, std::uint64_t rows, std::uint64_t cols,
         break;
       }
       case Op::TrExpm: {
+        // Forward: the Taylor products visit each nonzero of the input
+        // once per row of the running power (d * nnz MACs); only the
+        // squarings are dense. Backward: ga += g * exp(A)^T, one MAC
+        // per element.
         const std::uint64_t d = node.dim;
-        const std::uint64_t flops =
-            rows * cost::kExpmMatmuls * cost::matmulFlops(d, d, d);
+        const std::uint64_t nnz = std::min(aNonzeros, d * d);
+        const std::uint64_t fwdFlops =
+            rows * (cost::kExpmTaylorProducts * 2 * d * nnz +
+                    cost::kExpmSquarings * cost::matmulFlops(d, d, d));
         const std::uint64_t bytes = rows * 4 * F * d * d;
-        c = {flops, bytes, flops, bytes};
+        c = {fwdFlops, bytes, rows * 2 * d * d, rows * 3 * F * d * d};
         break;
       }
       case Op::FusedAffine:
@@ -237,6 +253,34 @@ estimateOpCost(const OpNode& node, std::uint64_t rows, std::uint64_t cols,
       }
     }
     return c;
+}
+
+/**
+ * estimateOpCost for ops[id] from the per-op shapes. A TrExpm input
+ * built by ScatterMatrix has at most one nonzero per entry; any other
+ * input counts as dense.
+ */
+OpCost
+opCostAt(const std::vector<OpNode>& ops, const std::vector<std::size_t>& rows,
+         const std::vector<std::size_t>& cols, VarId id)
+{
+    const auto ix = static_cast<std::size_t>(id);
+    const OpNode& node = ops[ix];
+    auto rowsAt = [&](VarId v) -> std::uint64_t {
+        return v >= 0 ? rows[static_cast<std::size_t>(v)] : 0;
+    };
+    auto colsAt = [&](VarId v) -> std::uint64_t {
+        return v >= 0 ? cols[static_cast<std::size_t>(v)] : 0;
+    };
+    std::uint64_t aNonzeros = colsAt(node.in0);
+    if (node.in0 >= 0) {
+        const OpNode& in = ops[static_cast<std::size_t>(node.in0)];
+        if (in.op == Op::ScatterMatrix && in.entries != nullptr)
+            aNonzeros = in.entries->size();
+    }
+    return estimateOpCost(node, rows[ix], cols[ix], rowsAt(node.in0),
+                          colsAt(node.in0), rowsAt(node.in1),
+                          colsAt(node.in1), aNonzeros);
 }
 
 std::uint64_t
@@ -684,26 +728,13 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
     // are static estimates from the snapshotted shapes.
     {
         obs::Profiler& prof = obs::Profiler::instance();
-        auto shapeOf = [&](VarId v, std::uint64_t& r, std::uint64_t& c) {
-            r = v >= 0 ? rowsOf[static_cast<std::size_t>(v)] : 0;
-            c = v >= 0 ? colsOf[static_cast<std::size_t>(v)] : 0;
-        };
         auto costOf = [&](VarId id) {
-            const auto ix = static_cast<std::size_t>(id);
-            std::uint64_t aRows = 0;
-            std::uint64_t aCols = 0;
-            std::uint64_t bRows = 0;
-            std::uint64_t bCols = 0;
-            shapeOf(ops_[ix].in0, aRows, aCols);
-            shapeOf(ops_[ix].in1, bRows, bCols);
-            return estimateOpCost(ops_[ix], rowsOf[ix], colsOf[ix],
-                                  aRows, aCols, bRows, bCols);
+            return opCostAt(ops_, rowsOf, colsOf, id);
         };
         // Kernel-slot names carry the SIMD variant active at compile
-        // time ("@avx2" or nothing) for ops with AVX2 forward bodies;
-        // benches compile one Program per simd::Level to get the two
-        // variants as separate side-by-side rows. Backward bodies are
-        // generic loops, so backward slots stay unsuffixed.
+        // time ("@avx2" or nothing) for ops with AVX2 bodies in that
+        // phase; benches compile one Program per simd::Level to get the
+        // two variants as separate side-by-side rows.
         forwardKernels_.reserve(forwardSchedule_.size());
         for (VarId id : forwardSchedule_) {
             const OpCost cost = costOf(id);
@@ -718,9 +749,11 @@ Program::Program(Tape&& tape, VarId root, std::vector<VarId> outputs)
         for (const BackStep& step : backwardSchedule_) {
             const OpCost cost = costOf(step.id);
             const Op op = ops_[static_cast<std::size_t>(step.id)].op;
+            std::string name = std::string("backward.") + kernelName(op);
+            if (backend_ != Backend::Scalar && hasBackwardSimdVariant(op))
+                name += tensor::simd::kernelSuffix();
             backwardKernels_.push_back(
-                {&prof.kernel(std::string("backward.") + kernelName(op)),
-                 cost.bwdFlops, cost.bwdBytes});
+                {&prof.kernel(name), cost.bwdFlops, cost.bwdBytes});
         }
     }
 
@@ -1293,20 +1326,8 @@ Program::patch(const StructureDelta& delta)
     // Refresh the static profiler cost estimates for the new shapes
     // (kernel identities are unchanged — same ops, same backend).
     {
-        auto shapeOf = [&](VarId v, std::uint64_t& r, std::uint64_t& c) {
-            r = v >= 0 ? rowsOf[static_cast<std::size_t>(v)] : 0;
-            c = v >= 0 ? colsOf[static_cast<std::size_t>(v)] : 0;
-        };
         auto costOf = [&](VarId id) {
-            const auto ix = static_cast<std::size_t>(id);
-            std::uint64_t aRows = 0;
-            std::uint64_t aCols = 0;
-            std::uint64_t bRows = 0;
-            std::uint64_t bCols = 0;
-            shapeOf(ops_[ix].in0, aRows, aCols);
-            shapeOf(ops_[ix].in1, bRows, bCols);
-            return estimateOpCost(ops_[ix], rowsOf[ix], colsOf[ix],
-                                  aRows, aCols, bRows, bCols);
+            return opCostAt(ops_, rowsOf, colsOf, id);
         };
         for (std::size_t k = 0; k < forwardSchedule_.size(); ++k) {
             const OpCost cost = costOf(forwardSchedule_[k]);

@@ -1005,8 +1005,24 @@ SmoothEExtractor::extractWithCost(const EGraph& graph,
         const bool fresh = (ws == nullptr);
         if (fresh)
             ws = &storeBlob<WarmState>(*state, config_.memoryBudgetBytes);
-        return runSmoothE(graph, model, options, config_, diagnostics_,
-                          *ws, fresh ? nullptr : delta);
+        const util::Deadline deadline(options.timeLimitSeconds);
+        ExtractionResult result =
+            runSmoothE(graph, model, options, config_, diagnostics_, *ws,
+                       fresh ? nullptr : delta);
+        // A warm start can settle where no sample is valid on the grown
+        // graph while a cold start succeeds: rerun the epoch cold, unless
+        // the failure was memory or the caller's time budget.
+        const double left = deadline.remaining(); // inf when unlimited
+        if (!fresh && result.status == SolveStatus::Failed &&
+            !diagnostics_.outOfMemory && left > 0.0) {
+            obs::counter("smoothe.warm_fallbacks").add(1);
+            ExtractOptions cold = options;
+            if (cold.timeLimitSeconds > 0.0)
+                cold.timeLimitSeconds = left;
+            result = runSmoothE(graph, model, cold, config_, diagnostics_,
+                                *ws, nullptr);
+        }
+        return result;
     }
     WarmState oneShot(config_.memoryBudgetBytes);
     return runSmoothE(graph, model, options, config_, diagnostics_,

@@ -464,6 +464,65 @@ segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
 }
 
 void
+segmentProductComplementBackwardInto(const Tensor& a, const Tensor& g,
+                                     const SegmentIndex& segs, Tensor& ga,
+                                     Backend backend)
+{
+    const std::size_t numSegments = segs.numSegments();
+    const bool parallel = backend != Backend::Scalar;
+
+    // Cross-seed AVX2: per-lane prefix, suffix and gradient order match
+    // the generic loop below, so the two variants are bit-identical.
+    const std::size_t groups =
+        (parallel && simd::avx2Active()) ? a.rows() / 8 : std::size_t{0};
+    if (groups > 0) {
+        util::ThreadPool::global().parallelFor(
+            0, groups, 1, [&](std::size_t grp) {
+                avx2::segmentProductComplementBackward8(
+                    a.row(grp * 8), g.row(grp * 8), g.cols(),
+                    ga.row(grp * 8), a.cols(), segs.offsets.data(),
+                    numSegments, segs.items.data());
+            });
+    }
+
+    const std::size_t remBegin = groups * 8;
+    parallelChunks(
+        parallel, a.rows() - remBegin, rowGrain(a.cols()),
+        [&](std::size_t chunkBegin, std::size_t chunkEnd) {
+            // Per-chunk scratch: rows in other chunks run concurrently.
+            std::vector<float> prefix;
+            for (std::size_t r = remBegin + chunkBegin;
+                 r < remBegin + chunkEnd; ++r) {
+                const float* x = a.row(r);
+                const float* gr = g.row(r);
+                float* gar = ga.row(r);
+                for (std::size_t s = 0; s < numSegments; ++s) {
+                    const std::uint32_t* items =
+                        segs.items.data() + segs.offsets[s];
+                    const std::size_t len =
+                        segs.offsets[s + 1] - segs.offsets[s];
+                    if (prefix.size() < len)
+                        prefix.resize(len);
+                    // prefix[e] = prod_{j < e} (1 - x_j).
+                    float run = 1.0f;
+                    for (std::size_t e = 0; e < len; ++e) {
+                        prefix[e] = run;
+                        run *= (1.0f - x[items[e]]);
+                    }
+                    // suffix = prod_{j > e} (1 - x_j); d/dx_e of the
+                    // segment product is -prefix[e] * suffix.
+                    float suffix = 1.0f;
+                    for (std::size_t e = len; e > 0; --e) {
+                        const std::uint32_t col = items[e - 1];
+                        gar[col] += gr[s] * (-prefix[e - 1] * suffix);
+                        suffix *= (1.0f - x[col]);
+                    }
+                }
+            }
+        });
+}
+
+void
 segmentMaxGatherInto(const Tensor& a, const SegmentIndex& segs, Tensor& out,
                      std::vector<std::uint32_t>& arg_out, Backend backend)
 {

@@ -88,10 +88,12 @@ inline constexpr std::uint64_t kElemBytes = sizeof(float);
 inline constexpr std::uint64_t kExpFlops = 8;
 
 /**
- * Dense d x d matmuls one scaling-and-squaring expm evaluation performs
- * (Taylor-term products plus squarings; see autodiff/matexp.cpp).
+ * Matrix products one scaling-and-squaring expm evaluation performs
+ * (see autodiff/matexp.cpp): the Taylor-term products, which visit only
+ * the input's nonzeros, and a typical count of dense squarings.
  */
-inline constexpr std::uint64_t kExpmMatmuls = 24;
+inline constexpr std::uint64_t kExpmTaylorProducts = 17;
+inline constexpr std::uint64_t kExpmSquarings = 7;
 
 /** FLOPs of an m x k by k x n matmul (one multiply + one add per MAC). */
 inline constexpr std::uint64_t
@@ -171,6 +173,17 @@ void segmentSoftmaxInto(const Tensor& a, const SegmentIndex& segs,
 /** out[b, s] = prod_{k in segment s} (1 - a[b, items[k]]). */
 void segmentProductComplementInto(const Tensor& a, const SegmentIndex& segs,
                                   Tensor& out, Backend backend);
+/**
+ * Backward of segmentProductComplementInto: for every item k of segment
+ * s, ga[b, k] += g[b, s] * -prod_{j in s, j != k} (1 - a[b, j]). The
+ * prefix products build left to right and the suffix products right to
+ * left; a segment's items are distinct, so each segment touches each
+ * ga column at most once and the accumulation order across segments is
+ * segment order.
+ */
+void segmentProductComplementBackwardInto(const Tensor& a, const Tensor& g,
+                                          const SegmentIndex& segs,
+                                          Tensor& ga, Backend backend);
 /**
  * out[b, s] = max over segment s; arg_out records the argmax column per
  * (row, segment), UINT32_MAX for empty segments.

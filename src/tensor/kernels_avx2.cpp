@@ -357,6 +357,63 @@ segmentProductComplement8(const float* x, std::size_t x_stride, float* o,
 }
 
 SMOOTHE_AVX2_FN void
+segmentProductComplementBackward8(const float* x, const float* g,
+                                  std::size_t g_stride, float* ga,
+                                  std::size_t stride,
+                                  const std::uint32_t* offsets,
+                                  std::size_t num_segments,
+                                  const std::uint32_t* items)
+{
+    const __m256i lanes = laneOffsets(stride);
+    const __m256i gLanes = laneOffsets(g_stride);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 signBit = _mm256_set1_ps(-0.0f);
+    alignas(32) float tmp[8];
+    // Per-segment [element][lane] scratch: the running prefix product
+    // and each element's (1 - x), so the suffix pass needs no gathers.
+    std::vector<float> prefix;
+    std::vector<float> complement;
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        const std::uint32_t begin = offsets[s];
+        const std::size_t len = offsets[s + 1] - begin;
+        if (len == 0)
+            continue;
+        if (prefix.size() < len * 8) {
+            prefix.resize(len * 8);
+            complement.resize(len * 8);
+        }
+        __m256 run = one;
+        for (std::size_t e = 0; e < len; ++e) {
+            const __m256i idx = _mm256_add_epi32(
+                lanes, _mm256_set1_epi32(static_cast<int>(items[begin + e])));
+            const __m256 c =
+                _mm256_sub_ps(one, _mm256_i32gather_ps(x, idx, 4));
+            _mm256_storeu_ps(prefix.data() + e * 8, run);
+            _mm256_storeu_ps(complement.data() + e * 8, c);
+            run = _mm256_mul_ps(run, c);
+        }
+        const __m256 gs = _mm256_i32gather_ps(
+            g, _mm256_add_epi32(gLanes,
+                                _mm256_set1_epi32(static_cast<int>(s))),
+            4);
+        __m256 suffix = one;
+        for (std::size_t e = len; e > 0; --e) {
+            // -prefix flips the sign bit exactly like scalar negation.
+            const __m256 negPrefix = _mm256_xor_ps(
+                _mm256_loadu_ps(prefix.data() + (e - 1) * 8), signBit);
+            _mm256_store_ps(tmp,
+                            _mm256_mul_ps(gs, _mm256_mul_ps(negPrefix,
+                                                            suffix)));
+            float* dst = ga + items[begin + e - 1];
+            for (std::size_t l = 0; l < 8; ++l)
+                dst[l * stride] += tmp[l];
+            suffix = _mm256_mul_ps(
+                suffix, _mm256_loadu_ps(complement.data() + (e - 1) * 8));
+        }
+    }
+}
+
+SMOOTHE_AVX2_FN void
 matmulSquare(const double* a, const double* b, double* c, std::size_t d)
 {
     std::fill(c, c + d * d, 0.0);
@@ -465,6 +522,13 @@ void
 segmentProductComplement8(const float*, std::size_t, float*, std::size_t,
                           const std::uint32_t*, std::size_t,
                           const std::uint32_t*)
+{
+    unreachable();
+}
+void
+segmentProductComplementBackward8(const float*, const float*, std::size_t,
+                                  float*, std::size_t, const std::uint32_t*,
+                                  std::size_t, const std::uint32_t*)
 {
     unreachable();
 }

@@ -19,7 +19,8 @@
  * backend").
  *
  * The cross-seed kernels (spmvRows8, segmentSoftmax8,
- * segmentProductComplement8) realize the seed-batch batching: the B
+ * segmentProductComplement8 and its backward) realize the seed-batch
+ * batching: the B
  * seed rows become the SIMD lane dimension, so one pass over the
  * sparse structure serves 8 seeds instead of replaying it per seed.
  */
@@ -93,6 +94,20 @@ void segmentProductComplement8(const float* x, std::size_t x_stride,
                                const std::uint32_t* offsets,
                                std::size_t num_segments,
                                const std::uint32_t* items);
+
+/**
+ * Cross-seed backward of segmentProductComplement8 over 8 consecutive
+ * batch rows of x and ga (both row stride `stride`) and g (row stride
+ * g_stride): per lane, the prefix builds left to right, the suffix
+ * right to left, and each item's gradient g[s] * (-prefix * suffix) is
+ * added into ga, all in the generic loop's order.
+ */
+void segmentProductComplementBackward8(const float* x, const float* g,
+                                       std::size_t g_stride, float* ga,
+                                       std::size_t stride,
+                                       const std::uint32_t* offsets,
+                                       std::size_t num_segments,
+                                       const std::uint32_t* items);
 
 /** c = a * b for row-major d x d doubles, 4-lane inner loop; bitwise
  *  identical to autodiff/matexp.cpp's scalar matmulSquare. */

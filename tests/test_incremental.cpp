@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -217,6 +218,65 @@ TEST(IncrementalExtract, SmoothEQualityTracksScratchOnGrownGraphs)
     // Anytime incumbents: the warm-started track must keep pace with
     // from-scratch re-extraction (1% tolerance, matching the CI gate).
     EXPECT_LE(incBest, scratchBest * 1.01);
+}
+
+TEST(IncrementalExtract, FailedWarmEpochFallsBackToColdStart)
+{
+    // The anytime_eqsat benchmark's term caviar_a/r0 at seed 104: the
+    // first caviar depth-4 draw whose 8-epoch saturation loop ends with
+    // at least 200 nodes and no SCC above 32 classes. Warm-started
+    // SmoothE draws no valid sample on epochs 5-7 of this loop, where a
+    // cold start on the same graph succeeds.
+    constexpr std::size_t kEpochs = 8;
+    const auto& phases = eqsat::caviarRulePhases();
+    auto runLoop = [&](const eqsat::Term& term, auto&& onEpoch) {
+        eqsat::MutEGraph mut;
+        const eqsat::Id root = mut.addTerm(term);
+        mut.enableDeltaLog(true);
+        eqsat::ExportState exportState;
+        for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+            eqsat::RunLimits limits;
+            limits.maxIterations = 1;
+            limits.maxNodes = 400 * (epoch + 1) / kEpochs;
+            limits.maxMatchesPerRule = 1000;
+            mut.run(phases[epoch % phases.size()], limits);
+            mut.drainDelta();
+            onEpoch(epoch, mut.exportIncremental(mut.find(root), opCost,
+                                                 exportState));
+        }
+    };
+    util::Rng termRng(104);
+    auto caviarTerm = [&termRng] {
+        return datasets::randomTerm(datasets::TermFlavor::Caviar, 4, 4,
+                                    termRng);
+    };
+    eqsat::TermPtr term;
+    for (bool fits = false; !fits;) {
+        const eqsat::TermPtr sum =
+            eqsat::app("+", {caviarTerm(), caviarTerm()});
+        term = eqsat::app("max", {sum, caviarTerm()});
+        runLoop(*term, [&](std::size_t epoch, const auto& exported) {
+            if (epoch + 1 < kEpochs)
+                return;
+            std::size_t largest = 0;
+            for (const auto& scc : exported.graph.classSccs())
+                largest = std::max(largest, scc.size());
+            fits = exported.graph.numNodes() >= 200 && largest <= 32;
+        });
+    }
+
+    core::SmoothEExtractor smoothe{core::SmoothEConfig{}};
+    extract::IncrementalState state;
+    extract::ExtractOptions options;
+    options.recordTrace = true;
+    const auto fallbacksBefore =
+        obs::counter("smoothe.warm_fallbacks").get();
+    runLoop(*term, [&](std::size_t epoch, const auto& exported) {
+        const auto result = smoothe.extractIncremental(
+            exported.graph, exported.delta, state, options);
+        EXPECT_TRUE(result.ok()) << "epoch " << epoch << ": " << result.note;
+    });
+    EXPECT_GT(obs::counter("smoothe.warm_fallbacks").get(), fallbacksBefore);
 }
 
 TEST(IncrementalExtract, IdentityDeltaReemitsCachedResult)

@@ -378,6 +378,87 @@ TEST(SimdParity, SegmentProductComplementIsBitIdentical)
     }
 }
 
+namespace {
+
+/**
+ * Parent-list-shaped segments: each segment holds distinct items in
+ * random order, an item may sit in several segments, and some segments
+ * are empty.
+ */
+st::SegmentIndex
+randomParentSegments(std::size_t cols, std::size_t num_segments,
+                     util::Rng& rng)
+{
+    st::SegmentIndex segs;
+    segs.offsets.push_back(0);
+    std::vector<std::uint32_t> pool(cols);
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        for (std::size_t i = 0; i < cols; ++i)
+            pool[i] = static_cast<std::uint32_t>(i);
+        const std::size_t len =
+            s % 5 == 0 ? 0 : rng.uniformIndex(std::min<std::size_t>(cols, 9));
+        for (std::size_t e = 0; e < len; ++e) {
+            std::swap(pool[e], pool[e + rng.uniformIndex(cols - e)]);
+            segs.items.push_back(pool[e]);
+        }
+        segs.offsets.push_back(static_cast<std::uint32_t>(segs.items.size()));
+    }
+    return segs;
+}
+
+/** The product-complement gradient with full prefix and suffix arrays
+ *  per segment, accumulated in item order. */
+void
+productComplementGradReference(const st::Tensor& x, const st::Tensor& g,
+                               const st::SegmentIndex& segs, st::Tensor& ga)
+{
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t s = 0; s < segs.numSegments(); ++s) {
+            const std::uint32_t begin = segs.offsets[s];
+            const std::size_t len = segs.offsets[s + 1] - begin;
+            std::vector<float> prefix(len + 1, 1.0f);
+            std::vector<float> suffix(len + 1, 1.0f);
+            for (std::size_t e = 0; e < len; ++e)
+                prefix[e + 1] =
+                    prefix[e] * (1.0f - x.at(r, segs.items[begin + e]));
+            for (std::size_t e = len; e > 0; --e)
+                suffix[e - 1] =
+                    suffix[e] * (1.0f - x.at(r, segs.items[begin + e - 1]));
+            for (std::size_t e = 0; e < len; ++e)
+                ga.at(r, segs.items[begin + e]) +=
+                    g.at(r, s) * (-prefix[e] * suffix[e + 1]);
+        }
+    }
+}
+
+} // namespace
+
+TEST(SimdParity, SegmentProductComplementBackwardIsBitIdentical)
+{
+    if (!avx2Available())
+        GTEST_SKIP() << "CPU lacks AVX2; nothing to compare";
+    util::Rng rng(0xb4c2);
+    for (const std::size_t rows : {1UL, 7UL, 8UL, 9UL, 16UL, 17UL}) {
+        for (const std::size_t cols : {12UL, 300UL}) {
+            const std::size_t numSegments = cols / 2 + 3;
+            const st::SegmentIndex segs =
+                randomParentSegments(cols, numSegments, rng);
+            const st::Tensor x = randomTensor(rows, cols, rng);
+            const st::Tensor g = randomTensor(rows, numSegments, rng);
+            const st::Tensor ga0 = randomTensor(rows, cols, rng);
+            st::Tensor expected = ga0;
+            productComplementGradReference(x, g, segs, expected);
+            auto [lhs, rhs] = runBothLevels(rows, cols, [&](st::Tensor& out) {
+                out = ga0;
+                st::segmentProductComplementBackwardInto(
+                    x, g, segs, out, st::Backend::Vectorized);
+            });
+            EXPECT_TRUE(bitEqual(lhs, expected)) << rows << "x" << cols;
+            EXPECT_TRUE(bitEqual(rhs, expected)) << rows << "x" << cols;
+        }
+    }
+}
+
 TEST(SimdParity, SegmentSoftmaxMatchesWithinUlpTolerance)
 {
     if (!avx2Available())
@@ -408,6 +489,66 @@ TEST(SimdParity, SegmentSoftmaxMatchesWithinUlpTolerance)
     }
 }
 
+namespace {
+
+/**
+ * Scaling and squaring with the dense ikj Taylor products (zero rows of
+ * the left factor skipped), the reference the sparse series in
+ * ad::expmDouble must reproduce bit for bit.
+ */
+std::vector<double>
+denseSeriesExpm(const std::vector<double>& a, std::size_t d)
+{
+    const std::size_t n2 = d * d;
+    auto matmul = [d, n2](const std::vector<double>& x,
+                          const std::vector<double>& y) {
+        std::vector<double> c(n2, 0.0);
+        for (std::size_t i = 0; i < d; ++i) {
+            for (std::size_t k = 0; k < d; ++k) {
+                const double xik = x[i * d + k];
+                if (xik == 0.0)
+                    continue;
+                for (std::size_t j = 0; j < d; ++j)
+                    c[i * d + j] += xik * y[k * d + j];
+            }
+        }
+        return c;
+    };
+    double norm = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+        double rowSum = 0.0;
+        for (std::size_t j = 0; j < d; ++j)
+            rowSum += std::fabs(a[i * d + j]);
+        norm = std::max(norm, rowSum);
+    }
+    std::vector<double> scaled(a);
+    int squarings = 0;
+    if (norm > 0.5) {
+        squarings = std::min(
+            static_cast<int>(std::ceil(std::log2(norm / 0.5))), 60);
+        for (double& v : scaled)
+            v *= std::ldexp(1.0, -squarings);
+    }
+    std::vector<double> result(n2, 0.0);
+    for (std::size_t i = 0; i < d; ++i)
+        result[i * d + i] = 1.0;
+    std::vector<double> power(scaled);
+    double factorial = 1.0;
+    for (int term = 1; term <= 18; ++term) {
+        factorial *= term;
+        const double inv = 1.0 / factorial;
+        for (std::size_t i = 0; i < n2; ++i)
+            result[i] += power[i] * inv;
+        if (term < 18)
+            power = matmul(power, scaled);
+    }
+    for (int s = 0; s < squarings; ++s)
+        result = matmul(result, result);
+    return result;
+}
+
+} // namespace
+
 TEST(SimdParity, MatrixExpIsBitIdentical)
 {
     if (!avx2Available())
@@ -430,6 +571,32 @@ TEST(SimdParity, MatrixExpIsBitIdentical)
                               d * d * sizeof(float)),
                   0)
             << "d=" << d;
+    }
+
+    // SCC-shaped inputs: a cycle through every class plus sparse chords,
+    // nonnegative cp-weighted entries, norm high enough to square. The
+    // sparse Taylor products must match the dense ikj series bitwise.
+    for (const std::size_t d : {40UL, 48UL}) {
+        std::vector<double> a(d * d, 0.0);
+        for (std::size_t i = 0; i < d; ++i) {
+            a[i * d + (i + 1) % d] = rng.uniform(0.05, 1.0);
+            for (int chord = 0; chord < 6; ++chord) {
+                if (rng.bernoulli(0.5))
+                    a[i * d + rng.uniformIndex(d)] = rng.uniform(0.0, 1.0);
+            }
+        }
+        const std::vector<double> expected = denseSeriesExpm(a, d);
+        for (const simd::Level level :
+             {simd::Level::Scalar, simd::Level::Avx2}) {
+            LevelGuard guard;
+            simd::setLevel(level);
+            std::vector<double> out(d * d);
+            smoothe::ad::expmDouble(a.data(), d, out.data());
+            EXPECT_EQ(std::memcmp(out.data(), expected.data(),
+                                  d * d * sizeof(double)),
+                      0)
+                << "d=" << d << " level " << simd::levelName(level);
+        }
     }
 }
 
