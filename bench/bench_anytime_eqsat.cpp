@@ -6,8 +6,8 @@
  * phased TRS scheduling, rover-style datapath, arithmetic): each epoch
  * runs one saturation iteration, exports the grown e-graph with its
  * GraphDelta (MutEGraph::exportIncremental), and re-extracts twice —
- * once through the incremental protocol (warm-started SmoothE with
- * Program patching) and once from scratch. Reports per-epoch quality
+ * once through the incremental protocol (warm-started SmoothE) and
+ * once from scratch. Reports per-epoch quality
  * and wall time for both tracks, the median per-epoch speedup, and the
  * final-cost parity ratio.
  *
@@ -311,10 +311,7 @@ main(int argc, char** argv)
                 worstRatio);
     std::printf("delta replay cross-check failures: %zu\n",
                 crosscheckFailures);
-    std::printf("program.patch %llu, program.rerecord %llu, "
-                "smoothe.warm_starts %llu\n",
-                static_cast<unsigned long long>(
-                    obs::counter("program.patch").get()),
+    std::printf("program.rerecord %llu, smoothe.warm_starts %llu\n",
                 static_cast<unsigned long long>(
                     obs::counter("program.rerecord").get()),
                 static_cast<unsigned long long>(
@@ -329,10 +326,6 @@ main(int argc, char** argv)
     bench::reportScalar("delta.crosscheck_failures",
                         static_cast<double>(crosscheckFailures))
         ->tolerancePct(0.001);
-    bench::reportScalar("incremental.program_patches",
-                        static_cast<double>(
-                            obs::counter("program.patch").get()))
-        ->checked(false);
     bench::reportScalar("incremental.program_rerecords",
                         static_cast<double>(
                             obs::counter("program.rerecord").get()))

@@ -60,42 +60,6 @@ struct ProgramStats
     }
 };
 
-/**
- * Structure-growth descriptor for Program::patch.
- *
- * Describes how a recorded program's sparse structures grew between two
- * recordings of the *same* op sequence (same op kinds in the same order,
- * only wider). Pointer payloads (SegmentIndex, gather index vectors,
- * scatter entry lists) are not listed here: the recorded OpNodes hold
- * raw pointers into caller-owned containers, and the caller rebuilds
- * those containers in place (same object addresses, new contents)
- * before calling patch(), so the pointers stay valid by construction.
- * What patch() itself rewrites are the value payloads the plan copied
- * at record time, recognized by their structure:
- *
- *  - one-hot-per-row Constant nodes (a propagation seed) get
- *    `onehotRows`,
- *  - 1 x C broadcast payloads with a single 1 against zeros get
- *    `maskOneHot`; a single 0 against ones gets `maskComplement`
- *    (root masks in SmoothE programs),
- *  - DotRowsConst weight vectors whose length no longer matches their
- *    input get `rowWeights`,
- *  - ScatterMatrix ops take `scatterDims` positionally (id order);
- *    dependent TrExpm dims, their saved stashes, and the trace-penalty
- *    AddScalar bias (-dim * rows) are derived from them.
- *
- * Empty members mean "no replacement available": patch() keeps the old
- * payload when its shape still fits and reports failure otherwise.
- */
-struct StructureDelta
-{
-    Tensor onehotRows;
-    Tensor maskOneHot;
-    Tensor maskComplement;
-    std::vector<float> rowWeights;
-    std::vector<std::size_t> scatterDims;
-};
-
 /** The compiled replayer. */
 class Program
 {
@@ -163,30 +127,6 @@ class Program
      * must be bound. @return std::nullopt when healthy.
      */
     std::optional<std::string> checkInvariants() const;
-
-    /**
-     * Patches the compiled plan in place after structure growth, instead
-     * of re-recording and recompiling from scratch.
-     *
-     * Preconditions: every Leaf's Param was already resized to its new
-     * shape, and every caller-owned container the recorded ops point at
-     * (segment indexes, gather index vectors, scatter entry lists) was
-     * rebuilt in place at its old address. patch() then re-infers every
-     * node's shape from the sources, swaps recognized value payloads per
-     * `delta`, resizes owned buffers / value slots / grad slots / saved
-     * stashes, and refreshes the profiler cost estimates and footprint
-     * stats. Schedules, fusion decisions, and slot assignments are kept
-     * — that is what makes it cheap.
-     *
-     * @return true on success (counts `program.patch`). Returns false —
-     * with the Program untouched — when the growth is not plan-
-     * preserving: a reused slot's users disagree on their new shape, a
-     * payload can no longer be recognized or no replacement was
-     * provided, or operand shapes stop agreeing. The caller must then
-     * fall back to a full re-record (and should count
-     * `program.rerecord`).
-     */
-    bool patch(const StructureDelta& delta);
 
   private:
     /** Where a node's value (or grad) lives at replay time. */

@@ -53,9 +53,6 @@ struct SmoothEConfig
      */
     std::size_t propagationIterations = 0;
 
-    /** Sample discrete solutions every k-th iteration (paper: every). */
-    std::size_t sampleEvery = 1;
-
     /**
      * Damping factor for the probability propagation (extension beyond
      * the paper, from the loopy-BP literature): the class probability is
@@ -98,15 +95,6 @@ struct SmoothEConfig
      */
     bool repairSampling = true;
 
-    /**
-     * Record the iteration graph once and replay it through a compiled
-     * ad::Program with a static buffer plan instead of rebuilding the
-     * tape every Adam step. Bit-identical to the eager rebuild at every
-     * thread count (DESIGN.md "Compiled execution plan"); disable to run
-     * the define-by-run path, e.g. for debugging the recorder.
-     */
-    bool compiledReplay = true;
-
     /** Kernel backend (Figure 6 ablation). */
     tensor::Backend backend = tensor::Backend::Vectorized;
 
@@ -136,11 +124,10 @@ struct SmoothEConfig
      * norm, wall time) points in SmoothEDiagnostics::convergence and —
      * when a process report is installed — in the report's
      * "smoothe.convergence" series. `convergenceStride` keeps every k-th
-     * iteration; `convergenceCapacity` bounds the ring (oldest points
-     * are overwritten once full; 0 disables recording).
+     * iteration; the ring holds kConvergenceCapacity points (oldest
+     * overwritten once full).
      */
     std::size_t convergenceStride = 1;
-    std::size_t convergenceCapacity = 4096;
 };
 
 } // namespace smoothe::core

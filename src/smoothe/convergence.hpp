@@ -1,8 +1,8 @@
 /**
  * @file
  * Per-iteration convergence recording for SmoothE runs: the data behind
- * Figure 4-style anytime quality-vs-time curves, captured from any run
- * (eager or compiled-replay) for free.
+ * Figure 4-style anytime quality-vs-time curves, captured from every
+ * SmoothE run for free.
  *
  * The recorder keeps one ConvergencePoint per sampled iteration in a
  * fixed-capacity ring buffer: a configurable stride thins dense runs,
@@ -25,6 +25,10 @@ class Report;
 } // namespace smoothe::obs
 
 namespace smoothe::core {
+
+/** Ring size of every SmoothE run's recorder: once an optimization runs
+ *  past this many recorded iterations, the oldest points are dropped. */
+constexpr std::size_t kConvergenceCapacity = 4096;
 
 /** One recorded optimization step. */
 struct ConvergencePoint
@@ -49,7 +53,8 @@ class ConvergenceRecorder
      *   oldest (0 disables recording entirely)
      */
     explicit ConvergenceRecorder(std::size_t stride = 1,
-                                 std::size_t capacity = 4096);
+                                 std::size_t capacity =
+                                     kConvergenceCapacity);
 
     /** True when `iteration` should be recorded — callers use this to
      *  skip computing expensive inputs (the gradient norm) on skipped

@@ -73,16 +73,6 @@ struct Prepared
 
     static Prepared build(const EGraph& graph, const SmoothEConfig& config);
 
-    /**
-     * Rebuilds every index structure for a grown graph without moving
-     * the container objects a compiled Program's op pointers refer to
-     * (classMembers, parentIndex, node2class, each sccs[k].entries).
-     * @return true when the recorded op sequence is preserved — same
-     * SCC count and same propagation depth (the previous depth is kept
-     * when the new auto depth does not exceed it, so a slightly deeper
-     * graph never forces a re-record) — i.e. Program::patch can apply.
-     */
-    bool rebuildInPlace(const EGraph& graph, const SmoothEConfig& config);
 };
 
 Prepared
@@ -204,46 +194,73 @@ Prepared::build(const EGraph& graph, const SmoothEConfig& config)
     return prep;
 }
 
-bool
-Prepared::rebuildInPlace(const EGraph& graph, const SmoothEConfig& config)
+/** Node handles of one recorded propagation. */
+struct Propagation
 {
-    const std::size_t prevIters = propIterations;
-    Prepared fresh = build(graph, config);
-    numNodes = fresh.numNodes;
-    numClasses = fresh.numClasses;
-    root = fresh.root;
-    // Move the *contents*; the container objects — whose addresses the
-    // recorded ops hold — stay where they are.
-    classMembers.offsets = std::move(fresh.classMembers.offsets);
-    classMembers.items = std::move(fresh.classMembers.items);
-    parentIndex.offsets = std::move(fresh.parentIndex.offsets);
-    parentIndex.items = std::move(fresh.parentIndex.items);
-    node2class = std::move(fresh.node2class);
-    rootMask = std::move(fresh.rootMask);
-    notRootMask = std::move(fresh.notRootMask);
+    VarId q = -1; ///< class-chosen probabilities q, batch x numClasses
+    VarId p = -1; ///< unconditional e-node probabilities p (Eq. 5)
+};
 
-    bool preserved = fresh.sccs.size() == sccs.size();
-    if (preserved) {
-        for (std::size_t k = 0; k < sccs.size(); ++k) {
-            sccs[k].dim = fresh.sccs[k].dim;
-            sccs[k].entries = std::move(fresh.sccs[k].entries);
+/**
+ * Records phi's probability propagation from the conditional
+ * probabilities `cp`: q starts one-hot at the root, then
+ * prep.propIterations parallel steps compute p = cp * q[class(node)]
+ * and combine p over each class's parents under `assumption`
+ * (Eqs. 6-7), optionally damped toward the previous q and re-pinned to
+ * 1 at the root; a final p reads the last q. buildForward and
+ * computeProbabilities both record through here, so the analysis API
+ * evaluates exactly the ops SmoothE optimizes.
+ */
+Propagation
+recordPropagation(Tape& tape, VarId cp, std::size_t batch,
+                  const Prepared& prep, Assumption assumption,
+                  float damping)
+{
+    // q0: root has probability 1, everything else 0.
+    Tensor q0(batch, prep.numClasses);
+    for (std::size_t b = 0; b < batch; ++b)
+        q0.at(b, prep.root) = 1.0f;
+    VarId q = tape.constant(std::move(q0));
+
+    for (std::size_t t = 0; t < prep.propIterations; ++t) {
+        const VarId qByNode = tape.gatherCols(q, &prep.node2class);
+        const VarId p = tape.mul(cp, qByNode); // Eq. (5)
+
+        VarId qNew = -1;
+        switch (assumption) {
+          case Assumption::Independent: {
+            const VarId prod =
+                tape.segmentProductComplement(p, &prep.parentIndex);
+            qNew = tape.addScalar(tape.scale(prod, -1.0f), 1.0f); // Eq. (6)
+            break;
+          }
+          case Assumption::Correlated:
+            qNew = tape.segmentMaxGather(p, &prep.parentIndex); // Eq. (7)
+            break;
+          case Assumption::Hybrid: {
+            const VarId prod =
+                tape.segmentProductComplement(p, &prep.parentIndex);
+            const VarId ind =
+                tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
+            const VarId corr =
+                tape.segmentMaxGather(p, &prep.parentIndex);
+            qNew = tape.scale(tape.add(ind, corr), 0.5f);
+            break;
+          }
         }
-    } else {
-        // The penalty op count changes; the caller re-records anyway, so
-        // entry addresses are free to move.
-        sccs = std::move(fresh.sccs);
+        // Optional damping (loopy-BP style) before pinning the root.
+        if (damping > 0.0f) {
+            qNew = tape.add(tape.scale(qNew, 1.0f - damping),
+                            tape.scale(q, damping));
+        }
+        // Pin the root probability to 1.
+        q = tape.addConst(tape.mulConst(qNew, prep.notRootMask),
+                          prep.rootMask);
     }
-
-    if (config.propagationIterations == 0 &&
-        fresh.propIterations <= prevIters) {
-        // Pin the carried depth: it already covers the (grow-only)
-        // graph, and keeping it keeps the recorded loop length.
-        propIterations = prevIters;
-    } else {
-        preserved = preserved && fresh.propIterations == prevIters;
-        propIterations = fresh.propIterations;
-    }
-    return preserved;
+    Propagation out;
+    out.q = q;
+    out.p = tape.mul(cp, tape.gatherCols(q, &prep.node2class));
+    return out;
 }
 
 /** Node handles into one recorded forward pass. */
@@ -274,53 +291,12 @@ buildForward(Tape& tape, Param& theta, const Prepared& prep,
         cp = tape.segmentSoftmax(thetaVar, &prep.classMembers);
     }
 
-    // q0: root has probability 1, everything else 0.
-    Tensor q0(batch, prep.numClasses);
-    for (std::size_t b = 0; b < batch; ++b)
-        q0.at(b, prep.root) = 1.0f;
-    VarId q = tape.constant(std::move(q0));
-
     obs::Span propagateSpan("propagate");
-    VarId p = -1;
-    for (std::size_t t = 0; t < prep.propIterations; ++t) {
-        const VarId qByNode = tape.gatherCols(q, &prep.node2class);
-        p = tape.mul(cp, qByNode); // Eq. (5)
-
-        VarId qNew = -1;
-        switch (config.assumption) {
-          case Assumption::Independent: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            qNew = tape.addScalar(tape.scale(prod, -1.0f), 1.0f); // Eq. (6)
-            break;
-          }
-          case Assumption::Correlated:
-            qNew = tape.segmentMaxGather(p, &prep.parentIndex); // Eq. (7)
-            break;
-          case Assumption::Hybrid: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            const VarId ind =
-                tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            const VarId corr =
-                tape.segmentMaxGather(p, &prep.parentIndex);
-            qNew = tape.scale(tape.add(ind, corr), 0.5f);
-            break;
-          }
-        }
-        // Optional damping (loopy-BP style) before pinning the root.
-        if (config.damping > 0.0f) {
-            qNew = tape.add(tape.scale(qNew, 1.0f - config.damping),
-                            tape.scale(q, config.damping));
-        }
-        // Pin the root probability to 1.
-        q = tape.addConst(tape.mulConst(qNew, prep.notRootMask),
-                          prep.rootMask);
-    }
-    p = tape.mul(cp, tape.gatherCols(q, &prep.node2class));
+    const Propagation prop = recordPropagation(
+        tape, cp, batch, prep, config.assumption, config.damping);
     propagateSpan.end();
 
-    const VarId costs = model.build(tape, p); // B x 1
+    const VarId costs = model.build(tape, prop.p); // B x 1
     VarId loss = tape.sumAll(costs);
 
     obs::Span penaltySpan("penalty");
@@ -378,10 +354,9 @@ effectiveLambda(const SmoothEConfig& config, std::size_t iter)
 /**
  * Everything one SmoothE run leaves behind for the next epoch: the arena
  * (declared first so every tensor below dies before it), the index
- * structures the compiled Program's op pointers refer into, theta with
- * its Adam state, and the Program itself. A one-shot extractWithCost
- * uses a stack-local instance; the incremental protocol keeps one alive
- * inside the caller's IncrementalState.
+ * structures of the graph it ran on, and theta with its Adam state. A
+ * one-shot extractWithCost uses a stack-local instance; the incremental
+ * protocol keeps one alive inside the caller's IncrementalState.
  */
 struct WarmState : extract::IncrementalBlob
 {
@@ -391,8 +366,6 @@ struct WarmState : extract::IncrementalBlob
     std::optional<Prepared> prep;
     Param theta;
     std::optional<ad::Adam> optimizer;
-    std::optional<ad::Program> program;
-    ForwardHandles handles;
     /** The converged result of the previous epoch; re-emitted verbatim
      *  when an identity delta proves the graph did not change. */
     std::optional<ExtractionResult> lastResult;
@@ -509,47 +482,13 @@ computeProbabilities(const EGraph& graph, const Tensor& theta,
     Param thetaParam{theta};
     const VarId thetaVar = tape.leaf(&thetaParam);
     const VarId cp = tape.segmentSoftmax(thetaVar, &prep.classMembers);
-
-    const std::size_t batch = theta.rows();
-    Tensor q0(batch, prep.numClasses);
-    for (std::size_t b = 0; b < batch; ++b)
-        q0.at(b, prep.root) = 1.0f;
-    VarId q = tape.constant(std::move(q0));
-    VarId p = -1;
-    for (std::size_t t = 0; t < prep.propIterations; ++t) {
-        const VarId qByNode = tape.gatherCols(q, &prep.node2class);
-        p = tape.mul(cp, qByNode);
-        VarId qNew = -1;
-        switch (assumption) {
-          case Assumption::Independent: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            qNew = tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            break;
-          }
-          case Assumption::Correlated:
-            qNew = tape.segmentMaxGather(p, &prep.parentIndex);
-            break;
-          case Assumption::Hybrid: {
-            const VarId prod =
-                tape.segmentProductComplement(p, &prep.parentIndex);
-            const VarId ind =
-                tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            const VarId corr =
-                tape.segmentMaxGather(p, &prep.parentIndex);
-            qNew = tape.scale(tape.add(ind, corr), 0.5f);
-            break;
-          }
-        }
-        q = tape.addConst(tape.mulConst(qNew, prep.notRootMask),
-                          prep.rootMask);
-    }
-    p = tape.mul(cp, tape.gatherCols(q, &prep.node2class));
+    const Propagation prop = recordPropagation(
+        tape, cp, theta.rows(), prep, assumption, config.damping);
 
     Probabilities out;
     out.cp = tape.value(cp);
-    out.q = tape.value(q);
-    out.p = tape.value(p);
+    out.q = tape.value(prop.q);
+    out.p = tape.value(prop.p);
     return out;
 }
 
@@ -566,9 +505,9 @@ namespace {
 /**
  * The optimization loop shared by one-shot and warm-started runs. A
  * null `delta` (or an empty ws.prep) starts cold; otherwise the carried
- * state in `ws` is remapped through the delta and the compiled Program
- * is patched in place when the growth preserves the recorded op
- * sequence, re-recorded otherwise.
+ * state in `ws` is remapped through the delta. Either way the iteration
+ * is recorded once against this run's graph, compiled into an
+ * ad::Program, and replayed for every Adam step.
  */
 ExtractionResult
 runSmoothE(const EGraph& graph, const cost::CostModel& model,
@@ -589,7 +528,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
     util::Deadline deadline(options.timeLimitSeconds);
     util::Rng rng(options.seed);
     ConvergenceRecorder recorder(config.convergenceStride,
-                                 config.convergenceCapacity);
+                                 kConvergenceCapacity);
 
     Arena& arena = ws.arena;
 
@@ -639,10 +578,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
     };
 
     try {
-        // A warm run rebuilds the shared index structures in place (the
-        // compiled Program's op pointers refer into them) and remembers
-        // whether the recorded op sequence survived; a cold run builds
-        // them fresh.
         const bool warm = ws.prep.has_value() && delta != nullptr;
 
         // Identity delta on an unchanged graph: the carried state already
@@ -663,18 +598,22 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             return result;
         }
 
-        bool opPreserved = false;
         std::vector<std::uint32_t> prevNode2class;
         {
             auto setupScope = diagnostics.profile.other();
+            Prepared fresh = Prepared::build(graph, config);
             if (warm) {
-                prevNode2class = ws.prep->node2class;
-                opPreserved = ws.prep->rebuildInPlace(graph, config);
+                prevNode2class = std::move(ws.prep->node2class);
+                // Never lower the carried auto depth: merges can shorten
+                // the class graph, and the carried theta was optimized
+                // under the deeper propagation.
+                if (config.propagationIterations == 0)
+                    fresh.propIterations = std::max(
+                        fresh.propIterations, ws.prep->propIterations);
             } else {
-                ws.program.reset();
                 ws.optimizer.reset();
-                ws.prep.emplace(Prepared::build(graph, config));
             }
+            ws.prep = std::move(fresh);
         }
         const Prepared& prep = *ws.prep;
         diagnostics.propagationIterations = prep.propIterations;
@@ -717,80 +656,40 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
 
         // The penalty coefficient fed to the "lambda" input slot; must be
         // the same float expression buildForward bakes into the recording
-        // so replay stays bit-identical to an eager rebuild.
+        // so the ramp replays exactly what a fresh recording would hold.
         const float penaltyScale =
             config.batchedMatexp ? static_cast<float>(batch) : 1.0f;
 
         // Compile-once/replay-many: record the iteration graph a single
-        // time, plan static buffers, and replay it every Adam step. The
-        // eager rebuild below stays available as a debugging fallback
-        // (config.compiledReplay = false) and for the parity tests.
-        ForwardHandles& handles = ws.handles;
-        std::optional<ad::Program>& program = ws.program;
-        // Only the compiled replay loop carries per-op kernel slots, so
-        // --eager --profile would silently produce an empty profile.
-        if (!config.compiledReplay && obs::profilerEnabled()) {
-            logger.warn("per-op profiler is on but the eager tape "
-                        "rebuild is selected; kernel attribution needs "
-                        "the compiled replay (drop --eager)");
-        }
-        if (!config.compiledReplay) {
-            program.reset();
-        } else {
-            // Warm epochs first try to patch the carried Program's
-            // sparse structures and buffer plan in place; only growth
-            // that breaks the recorded op sequence (or the slot pooling)
-            // pays for a fresh record+compile.
-            bool patched = false;
-            if (warm && program.has_value() && opPreserved) {
-                auto scope = diagnostics.profile.loss();
-                ad::StructureDelta growth;
-                Tensor q0(batch, prep.numClasses);
-                for (std::size_t b = 0; b < batch; ++b)
-                    q0.at(b, prep.root) = 1.0f;
-                growth.onehotRows = std::move(q0);
-                growth.maskOneHot = prep.rootMask;
-                growth.maskComplement = prep.notRootMask;
-                if (const auto* linear =
-                        dynamic_cast<const cost::LinearCost*>(&model))
-                    growth.rowWeights = linear->weights();
-                growth.scatterDims.reserve(prep.sccs.size());
-                for (const auto& scc : prep.sccs)
-                    growth.scatterDims.push_back(scc.dim);
-                patched = program->patch(growth);
-            }
-            if (!patched) {
-                if (warm && program.has_value())
-                    obs::counter("program.rerecord").add(1);
-                auto scope = diagnostics.profile.loss();
-                obs::Span recordSpan("program.record");
-                Tape recorder(config.backend, &arena);
-                handles = buildForward(recorder, theta, prep, model,
-                                       config,
-                                       effectiveLambda(config, 0));
-                diagnostics.tapeNodes =
-                    std::max(diagnostics.tapeNodes, recorder.numNodes());
-                std::vector<VarId> outputs{handles.cp, handles.costs};
-                if (handles.penalty >= 0)
-                    outputs.push_back(handles.penalty);
-                program.emplace(std::move(recorder), handles.loss,
-                                std::move(outputs));
-            }
-            diagnostics.compiledReplay = true;
-            diagnostics.programBuffers = program->stats().valueSlots +
-                                         program->stats().gradSlots;
-            diagnostics.bufferReuseRatio = program->stats().reuseRatio();
-            obs::gauge("tape.program_buffers")
-                .set(static_cast<double>(diagnostics.programBuffers));
-            obs::gauge("arena.reuse_ratio")
-                .set(diagnostics.bufferReuseRatio);
-            logger.debug("compiled program: %zu ops (%zu fused), "
-                         "%zu slots, reuse %.2fx%s",
-                         program->numOps(), program->stats().fusedOps,
-                         diagnostics.programBuffers,
-                         diagnostics.bufferReuseRatio,
-                         patched ? " (patched in place)" : "");
-        }
+        // time against this run's structures, plan static buffers, and
+        // replay it every Adam step. Every warm epoch re-records.
+        if (warm)
+            obs::counter("program.rerecord").add(1);
+        ForwardHandles handles;
+        ad::Program program = [&] {
+            auto scope = diagnostics.profile.loss();
+            obs::Span recordSpan("program.record");
+            Tape tape(config.backend, &arena);
+            handles = buildForward(tape, theta, prep, model, config,
+                                   effectiveLambda(config, 0));
+            diagnostics.tapeNodes = tape.numNodes();
+            std::vector<VarId> outputs{handles.cp, handles.costs};
+            if (handles.penalty >= 0)
+                outputs.push_back(handles.penalty);
+            return ad::Program(std::move(tape), handles.loss,
+                               std::move(outputs));
+        }();
+        diagnostics.programBuffers =
+            program.stats().valueSlots + program.stats().gradSlots;
+        diagnostics.bufferReuseRatio = program.stats().reuseRatio();
+        obs::gauge("tape.program_buffers")
+            .set(static_cast<double>(diagnostics.programBuffers));
+        obs::gauge("arena.reuse_ratio").set(diagnostics.bufferReuseRatio);
+        logger.debug("compiled program: %zu ops (%zu fused), %zu slots, "
+                     "reuse %.2fx",
+                     program.numOps(), program.stats().fusedOps,
+                     diagnostics.programBuffers,
+                     diagnostics.bufferReuseRatio);
 
         for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
             if (deadline.expired()) {
@@ -801,51 +700,34 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             iterationsMetric.add(1);
 
             obs::Span iterSpan("iteration");
-            // smoothe-lint: allow(tape-in-loop) — intentional eager path
-            std::optional<Tape> tape;
             {
                 auto scope = diagnostics.profile.loss();
-                const float lambda = effectiveLambda(config, iter);
-                if (program) {
-                    obs::Span forwardSpan("program.forward");
-                    if (handles.lambda >= 0)
-                        program->setInputScalar("lambda",
-                                                lambda * penaltyScale);
-                    program->forward();
-                } else {
-                    tape.emplace(config.backend, &arena);
-                    handles = buildForward(*tape, theta, prep, model,
-                                           config, lambda);
-                    diagnostics.tapeNodes = std::max(
-                        diagnostics.tapeNodes, tape->numNodes());
+                obs::Span forwardSpan("program.forward");
+                if (handles.lambda >= 0) {
+                    const float lambda = effectiveLambda(config, iter);
+                    program.setInputScalar("lambda", lambda * penaltyScale);
                 }
+                program.forward();
             }
-            // Reads a forward value from whichever execution mode ran.
-            auto val = [&](VarId id) -> const Tensor& {
-                return program ? program->value(id) : tape->value(id);
-            };
             {
                 auto scope = diagnostics.profile.gradient();
                 obs::Span adamSpan("adam");
                 optimizer.zeroGrad();
-                if (program)
-                    program->backward();
-                else
-                    tape->backward(handles.loss);
+                program.backward();
                 optimizer.step();
             }
             if (obs::traceEnabled()) {
                 obs::traceCounter("smoothe.loss",
-                                  val(handles.loss).at(0, 0));
+                                  program.value(handles.loss).at(0, 0));
                 if (handles.penalty >= 0) {
                     obs::traceCounter("smoothe.penalty",
-                                      val(handles.penalty).at(0, 0));
+                                      program.value(handles.penalty).at(0, 0));
                 }
             }
 
             double relaxedLoss = 0.0;
             if (config.recordLossCurves) {
-                const Tensor& costs = val(handles.costs);
+                const Tensor& costs = program.value(handles.costs);
                 for (std::size_t b = 0; b < costs.rows(); ++b)
                     relaxedLoss += costs.at(b, 0);
                 relaxedLoss /= static_cast<double>(costs.rows());
@@ -856,10 +738,9 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             // serial and in seed order, keeping results identical to the
             // sequential schedule for any thread count.
             double iterBest = kInf;
-            if ((iter % std::max<std::size_t>(1, config.sampleEvery)) ==
-                0) {
+            {
                 auto scope = diagnostics.profile.sampling();
-                const Tensor& cp = val(handles.cp);
+                const Tensor& cp = program.value(handles.cp);
                 const std::size_t rows = cp.rows();
                 std::vector<std::optional<Selection>> candidates(rows);
                 std::vector<double> sampleCosts(rows, kInf);
@@ -912,7 +793,7 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                 point.relaxedLoss = relaxedLoss;
                 point.sampledLoss = iterBest;
                 if (handles.penalty >= 0)
-                    point.penalty = val(handles.penalty).at(0, 0);
+                    point.penalty = program.value(handles.penalty).at(0, 0);
                 diagnostics.lossCurve.push_back(point);
             }
 
@@ -922,8 +803,8 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
             if (recorder.wants(iter)) {
                 ConvergencePoint point;
                 point.iteration = iter;
-                point.loss = val(handles.loss).at(0, 0);
-                const Tensor& costs = val(handles.costs);
+                point.loss = program.value(handles.loss).at(0, 0);
+                const Tensor& costs = program.value(handles.costs);
                 double softSum = 0.0;
                 for (std::size_t b = 0; b < costs.rows(); ++b)
                     softSum += costs.at(b, 0);
@@ -975,7 +856,6 @@ runSmoothE(const EGraph& graph, const cost::CostModel& model,
                      diagnostics.iterations, oom.what());
         // The carried state may be mid-remap: drop it so the next epoch
         // runs cold instead of warm-starting from inconsistent buffers.
-        ws.program.reset();
         ws.optimizer.reset();
         ws.prep.reset();
         ws.lastResult.reset();

@@ -15,6 +15,9 @@
  *      Eq. 11.
  *   5. Adam update of theta; then per-seed discrete sampling by arg-max
  *      cp, keeping the best valid solution seen (Section 3.5).
+ *
+ * Steps 1-4 are recorded once per run on an ad::Tape, compiled into an
+ * ad::Program, and replayed for every Adam step.
  */
 
 #ifndef SMOOTHE_SMOOTHE_SMOOTHE_HPP
@@ -49,9 +52,8 @@ struct SmoothEDiagnostics
     std::size_t sccCount = 0;        ///< non-trivial SCCs penalized
     std::size_t largestScc = 0;
     std::size_t peakMemoryBytes = 0;
-    std::size_t tapeNodes = 0;       ///< peak autodiff tape size across the run
+    std::size_t tapeNodes = 0;       ///< nodes in the recorded iteration
     std::size_t threads = 1;         ///< worker pool size used by the run
-    bool compiledReplay = false;     ///< ran on a compiled Program
     std::size_t programBuffers = 0;  ///< reusable value+grad slots planned
     double bufferReuseRatio = 0.0;   ///< eager bytes / planned bytes (>= 1)
     bool outOfMemory = false;
@@ -106,10 +108,9 @@ class SmoothEExtractor : public extract::Extractor
      * both given, the run warm-starts from the previous epoch carried in
      * `state`: theta and the Adam moments are remapped through the delta
      * (new nodes fall back to the softmax prior, merged classes are
-     * re-centered per source group), and the compiled Program is patched
-     * in place when the growth preserves the recorded op sequence —
-     * falling back to a full re-record otherwise (counters
-     * `program.patch` / `program.rerecord`). Callers going through the
+     * re-centered per source group) and the iteration is re-recorded
+     * against the grown graph (counter `program.rerecord`); an identity
+     * delta re-emits the previous result. Callers going through the
      * generic protocol should prefer Extractor::extractIncremental,
      * which adds the cross-epoch consistency checks.
      */

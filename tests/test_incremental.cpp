@@ -5,13 +5,15 @@
  * to exportGraph while emitting consistent GraphDeltas, the heuristic
  * incremental extractor matches its from-scratch fixed point, SmoothE's
  * warm-started path is thread-count deterministic and quality-equivalent
- * to scratch, the identity-delta fast path re-emits the cached result,
- * and stale IncrementalStates are rejected.
+ * to scratch with its per-epoch results pinned bit for bit, the
+ * identity-delta fast path re-emits the cached result, and stale
+ * IncrementalStates are rejected.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -220,31 +222,42 @@ TEST(IncrementalExtract, SmoothEQualityTracksScratchOnGrownGraphs)
     EXPECT_LE(incBest, scratchBest * 1.01);
 }
 
-TEST(IncrementalExtract, FailedWarmEpochFallsBackToColdStart)
+constexpr std::size_t kCaviarEpochs = 8;
+
+/** The anytime_eqsat benchmark's saturation schedule: one iteration of
+ *  the epoch's caviar rule phase under a node cap ramped to 400, handing
+ *  each epoch's incremental export to `on_epoch(epoch, exported)`. */
+template <typename OnEpoch>
+void
+runCaviarLoop(const eqsat::Term& term, OnEpoch&& on_epoch)
 {
-    // The anytime_eqsat benchmark's term caviar_a/r0 at seed 104: the
-    // first caviar depth-4 draw whose 8-epoch saturation loop ends with
-    // at least 200 nodes and no SCC above 32 classes. Warm-started
-    // SmoothE draws no valid sample on epochs 5-7 of this loop, where a
-    // cold start on the same graph succeeds.
-    constexpr std::size_t kEpochs = 8;
     const auto& phases = eqsat::caviarRulePhases();
-    auto runLoop = [&](const eqsat::Term& term, auto&& onEpoch) {
-        eqsat::MutEGraph mut;
-        const eqsat::Id root = mut.addTerm(term);
-        mut.enableDeltaLog(true);
-        eqsat::ExportState exportState;
-        for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-            eqsat::RunLimits limits;
-            limits.maxIterations = 1;
-            limits.maxNodes = 400 * (epoch + 1) / kEpochs;
-            limits.maxMatchesPerRule = 1000;
-            mut.run(phases[epoch % phases.size()], limits);
-            mut.drainDelta();
-            onEpoch(epoch, mut.exportIncremental(mut.find(root), opCost,
-                                                 exportState));
-        }
-    };
+    eqsat::MutEGraph mut;
+    const eqsat::Id root = mut.addTerm(term);
+    mut.enableDeltaLog(true);
+    eqsat::ExportState exportState;
+    for (std::size_t epoch = 0; epoch < kCaviarEpochs; ++epoch) {
+        eqsat::RunLimits limits;
+        limits.maxIterations = 1;
+        limits.maxNodes = 400 * (epoch + 1) / kCaviarEpochs;
+        limits.maxMatchesPerRule = 1000;
+        mut.run(phases[epoch % phases.size()], limits);
+        mut.drainDelta();
+        on_epoch(epoch, mut.exportIncremental(mut.find(root), opCost,
+                                              exportState));
+    }
+}
+
+/**
+ * The anytime_eqsat benchmark's term caviar_a/r0 at seed 104: the first
+ * caviar depth-4 draw whose 8-epoch saturation loop ends with at least
+ * 200 nodes and no SCC above 32 classes. Warm-started SmoothE draws no
+ * valid sample on epoch 5 of this loop, where a cold start on the same
+ * graph succeeds.
+ */
+eqsat::TermPtr
+caviarSeed104Term()
+{
     util::Rng termRng(104);
     auto caviarTerm = [&termRng] {
         return datasets::randomTerm(datasets::TermFlavor::Caviar, 4, 4,
@@ -255,8 +268,8 @@ TEST(IncrementalExtract, FailedWarmEpochFallsBackToColdStart)
         const eqsat::TermPtr sum =
             eqsat::app("+", {caviarTerm(), caviarTerm()});
         term = eqsat::app("max", {sum, caviarTerm()});
-        runLoop(*term, [&](std::size_t epoch, const auto& exported) {
-            if (epoch + 1 < kEpochs)
+        runCaviarLoop(*term, [&](std::size_t epoch, const auto& exported) {
+            if (epoch + 1 < kCaviarEpochs)
                 return;
             std::size_t largest = 0;
             for (const auto& scc : exported.graph.classSccs())
@@ -264,19 +277,71 @@ TEST(IncrementalExtract, FailedWarmEpochFallsBackToColdStart)
             fits = exported.graph.numNodes() >= 200 && largest <= 32;
         });
     }
+    return term;
+}
 
+TEST(IncrementalExtract, FailedWarmEpochFallsBackToColdStart)
+{
+    const eqsat::TermPtr term = caviarSeed104Term();
     core::SmoothEExtractor smoothe{core::SmoothEConfig{}};
     extract::IncrementalState state;
     extract::ExtractOptions options;
     options.recordTrace = true;
     const auto fallbacksBefore =
         obs::counter("smoothe.warm_fallbacks").get();
-    runLoop(*term, [&](std::size_t epoch, const auto& exported) {
+    runCaviarLoop(*term, [&](std::size_t epoch, const auto& exported) {
         const auto result = smoothe.extractIncremental(
             exported.graph, exported.delta, state, options);
         EXPECT_TRUE(result.ok()) << "epoch " << epoch << ": " << result.note;
     });
     EXPECT_GT(obs::counter("smoothe.warm_fallbacks").get(), fallbacksBefore);
+}
+
+/** FNV-1a over a selection's per-class choices. */
+std::uint64_t
+choiceHash(const std::vector<eg::NodeId>& choice)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (const eg::NodeId node : choice) {
+        hash ^= static_cast<std::uint64_t>(node);
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
+TEST(IncrementalExtract, WarmEpochResultsArePinned)
+{
+    // Golden per-epoch results of the loop above: epochs 1-7 warm-start
+    // (theta and Adam moments remapped through the delta, the iteration
+    // recorded against the grown graph) and epoch 5 falls back to a cold
+    // run. Any change to what a warm epoch computes moves a cost or a
+    // hash.
+    struct Pinned
+    {
+        double cost;
+        std::uint64_t choiceHash;
+    };
+    const Pinned kPinned[kCaviarEpochs] = {
+        {118.0, 0x433bd8e50f19d58cULL}, {118.0, 0x98a60daace7dce60ULL},
+        {114.0, 0x943b472ee82e0427ULL}, {90.0, 0x352912da7bd0fa35ULL},
+        {94.0, 0x6cf8020d38d8d726ULL},  {90.0, 0x0aa4113aa39abaadULL},
+        {90.0, 0x42ce4b79788e1d85ULL},  {91.0, 0xe707ede5785f41fbULL},
+    };
+    const eqsat::TermPtr term = caviarSeed104Term();
+    core::SmoothEExtractor smoothe{core::SmoothEConfig{}};
+    extract::IncrementalState state;
+    extract::ExtractOptions options;
+    const auto warmBefore = obs::counter("smoothe.warm_starts").get();
+    runCaviarLoop(*term, [&](std::size_t epoch, const auto& exported) {
+        const auto result = smoothe.extractIncremental(
+            exported.graph, exported.delta, state, options);
+        ASSERT_TRUE(result.ok()) << "epoch " << epoch << ": " << result.note;
+        const std::uint64_t hash = choiceHash(result.selection.choice);
+        EXPECT_EQ(result.cost, kPinned[epoch].cost) << "epoch " << epoch;
+        EXPECT_EQ(hash, kPinned[epoch].choiceHash)
+            << "epoch " << epoch << ": 0x" << std::hex << hash;
+    });
+    EXPECT_GE(obs::counter("smoothe.warm_starts").get(), warmBefore + 4);
 }
 
 TEST(IncrementalExtract, IdentityDeltaReemitsCachedResult)

@@ -3,16 +3,18 @@
  * Compiled Program tests: a recorded tape replayed through ad::Program
  * must be bit-identical to rebuilding the tape eagerly every iteration —
  * forward values, Param gradients, and whole Adam trajectories — on
- * randomized small e-graphs, at pool sizes 1 and 4 (extending the PR 3
- * determinism contract). Also covers the buffer-plan invariants (fusion
- * fired, planned bytes below one eager iteration) and the named input
- * slot that drives the lambda warmup ramp without re-recording.
+ * randomized small e-graphs, at pool sizes 1 and 4, for both the
+ * independent and the hybrid propagation step SmoothE records. Also
+ * covers the buffer-plan invariants (fusion fired, planned bytes below
+ * one eager iteration) and the named input slot that drives the lambda
+ * warmup ramp without re-recording.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autodiff/adam.hpp"
@@ -91,8 +93,12 @@ struct Handles
  * The SmoothE-shaped pipeline over a random e-graph: softmax per class,
  * probability propagation, a non-linear (matmul/relu) head, and a
  * NOTEARS trace penalty whose coefficient enters through the "lambda"
- * input slot. Structures and Params live here so recorded pointers stay
- * valid for the Program's lifetime.
+ * input slot. The propagation step is SmoothE's independent one
+ * (Eq. 6) or, with `hybrid`, its default hybrid one: the average of
+ * Eq. 6 and the segmentMaxGather of Eq. 7, whose scale-by-0.5 and
+ * root-mask mulConst/addConst fuse into a 3-stage FusedElemChain.
+ * Structures and Params live here so recorded pointers stay valid for
+ * the Program's lifetime.
  */
 struct Pipeline
 {
@@ -105,6 +111,7 @@ struct Pipeline
     std::vector<float> headWeights;
     std::size_t propIters = 3;
     std::size_t batch = 2;
+    bool hybrid = false;
     Param theta;
     Param w;
     Param bias;
@@ -164,7 +171,12 @@ struct Pipeline
                 tape.segmentProductComplement(p, &parents);
             const VarId ind =
                 tape.addScalar(tape.scale(prod, -1.0f), 1.0f);
-            q = tape.addConst(tape.mulConst(ind, notRoot), rootMask);
+            VarId qNew = ind;
+            if (hybrid) {
+                const VarId corr = tape.segmentMaxGather(p, &parents);
+                qNew = tape.scale(tape.add(ind, corr), 0.5f);
+            }
+            q = tape.addConst(tape.mulConst(qNew, notRoot), rootMask);
         }
         p = tape.mul(h.cp, tape.gatherCols(q, &node2class));
         VarId head = tape.matmul(p, tape.leaf(&w));
@@ -273,9 +285,10 @@ expectBitwiseEqual(const Trajectory& a, const Trajectory& b)
     }
 }
 
-} // namespace
-
-TEST(ProgramParity, ReplayMatchesEagerBitwiseOnRandomEGraphs)
+/** Eager vs compiled trajectories on four random e-graphs, at pool
+ *  sizes 1 and 4. */
+void
+expectParityOnRandomEGraphs(bool hybrid)
 {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         util::ThreadPool::setGlobalThreads(threads);
@@ -286,12 +299,40 @@ TEST(ProgramParity, ReplayMatchesEagerBitwiseOnRandomEGraphs)
             util::Rng compiledRng(seed * 101);
             Pipeline eager(g, eagerRng);
             Pipeline compiled(g, compiledRng);
+            eager.hybrid = hybrid;
+            compiled.hybrid = hybrid;
             const Trajectory a = runEager(eager);
             const Trajectory b = runCompiled(compiled);
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                         std::to_string(threads) + " threads");
             expectBitwiseEqual(a, b);
         }
     }
     util::ThreadPool::setGlobalThreads(1); // restore for other tests
+}
+
+} // namespace
+
+TEST(ProgramParity, ReplayMatchesEagerBitwiseOnRandomEGraphs)
+{
+    expectParityOnRandomEGraphs(false);
+}
+
+TEST(ProgramParity, HybridStepReplayMatchesEagerBitwise)
+{
+    expectParityOnRandomEGraphs(true);
+
+    // Each hybrid step fuses twice: scale+addScalar into a FusedAffine
+    // and scale/mulConst/addConst into a 3-stage FusedElemChain (2 ops
+    // fused away) — so the parity above ran the chain kernel.
+    util::Rng rng(3);
+    const eg::EGraph g = randomEGraph(rng);
+    Pipeline pl(g, rng);
+    pl.hybrid = true;
+    Tape recorder;
+    const Handles h = pl.build(recorder, kLambda);
+    const ad::Program program(std::move(recorder), h.loss, {h.cp});
+    EXPECT_EQ(program.stats().fusedOps, 3 * pl.propIters);
 }
 
 TEST(ProgramParity, ThreadCountDoesNotChangeCompiledResults)

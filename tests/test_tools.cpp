@@ -164,3 +164,25 @@ TEST(Tools, ExtractRejectsBadInput)
                                    "--extractor bogus"),
               0);
 }
+
+TEST(Tools, HelpPrintsUsageAndExitsZero)
+{
+    for (const char* tool : {"smoothe_extract", "egraph_gen"}) {
+        const std::string path = binaryPath(tool);
+        if (path.empty())
+            GTEST_SKIP() << "tool binaries not found relative to cwd";
+        const std::string out =
+            std::string("/tmp/smoothe_tools_help_") + tool + ".txt";
+        EXPECT_EQ(std::system((path + " --help > " + out +
+                               " 2> /dev/null")
+                                  .c_str()),
+                  0)
+            << tool;
+        const auto text = smoothe::util::readFile(out);
+        ASSERT_TRUE(text.has_value()) << tool;
+        EXPECT_EQ(text->rfind("usage: ", 0), 0u) << tool << ": " << *text;
+    }
+    // Without a family egraph_gen still fails, usage on stderr.
+    const std::string gen = binaryPath("egraph_gen");
+    EXPECT_NE(runCommand(gen), 0);
+}

@@ -7,6 +7,7 @@
  * Usage:
  *   egraph_gen --family rover [--scale 0.1] [--seed 2025] [--out DIR]
  *   egraph_gen --all [--scale 0.1] [--out DIR]
+ *   egraph_gen --help
  *
  * --validate runs eg::EGraph::checkInvariants() on every generated
  * graph and fails the run on the first unhealthy one.
@@ -19,6 +20,23 @@
 #include "egraph/serialize.hpp"
 #include "obs/cli.hpp"
 #include "util/args.hpp"
+
+namespace {
+
+/** The usage text: stdout for --help, stderr on a missing family. */
+void
+printUsage(std::FILE* out)
+{
+    std::fprintf(out,
+                 "usage: egraph_gen --family NAME | --all "
+                 "[--scale S] [--seed N] [--out DIR] [--validate]\n"
+                 "families:");
+    for (const auto& name : smoothe::datasets::allFamilies())
+        std::fprintf(out, " %s", name.c_str());
+    std::fprintf(out, "\n");
+}
+
+} // namespace
 
 int
 main(int argc, char** argv)
@@ -36,18 +54,14 @@ main(int argc, char** argv)
     const bool all = args.getBool("all", false);
     const std::string family = args.getString("family", "");
     const bool validate = args.getBool("validate", false);
+    const bool help = args.getBool("help", false);
 
     if (obs::reportUnknownFlags(args, "egraph_gen") > 0)
         return 2;
 
-    if (!all && family.empty()) {
-        std::fprintf(stderr,
-                     "usage: egraph_gen --family NAME | --all "
-                     "[--scale S] [--seed N] [--out DIR]\nfamilies:");
-        for (const auto& name : datasets::allFamilies())
-            std::fprintf(stderr, " %s", name.c_str());
-        std::fprintf(stderr, "\n");
-        return 2;
+    if (help || (!all && family.empty())) {
+        printUsage(help ? stdout : stderr);
+        return help ? 0 : 2;
     }
 
     std::vector<std::string> families;

@@ -5,13 +5,14 @@
  * Usage:
  *   smoothe_extract --input egraph.json [--extractor smoothe]
  *                   [--time-limit 10] [--seed 1] [--seeds 16]
- *                   [--assumption hybrid] [--lambda 8] [--eager]
+ *                   [--assumption hybrid] [--lambda 8]
  *                   [--incremental] [--epochs N]
  *                   [--output selection.json] [--threads N]
  *                   [--validate] [--log-level debug] [--log-json log.jsonl]
  *                   [--trace-out trace.json] [--metrics-out metrics.json]
  *                   [--profile] [--profile-out prof.folded]
  *                   [--profile-stride N]
+ *   smoothe_extract --help
  *
  * --incremental re-extracts each graph through the incremental protocol
  * (extractIncremental + a caller-owned IncrementalState), --epochs N
@@ -20,7 +21,7 @@
  * saturation loop drives (see bench_anytime_eqsat for evolving graphs)
  * and bumps the per-epoch `extraction.<name>.incremental_runs` counter
  * visible via --metrics-out. Requires an extractor with incremental
- * support and the compiled replay (rejected with --eager).
+ * support.
  *
  * A suite of e-graphs can be given as `--inputs a.json,b.json,...`; the
  * graphs are then extracted concurrently on the worker pool (one task per
@@ -78,6 +79,30 @@ graphSeed(std::uint64_t base, std::size_t index)
     return base ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(index));
 }
 
+/** The usage text: stdout for --help, stderr on a missing input. */
+void
+printUsage(std::FILE* out)
+{
+    std::fprintf(out,
+                 "usage: smoothe_extract --input egraph.json "
+                 "[--extractor NAME] [--output out.json]\n"
+                 "       smoothe_extract --inputs a.json,b.json,... "
+                 "[--threads N]\n"
+                 "options: --time-limit S --seed N --validate "
+                 "--incremental [--epochs N]\n"
+                 "smoothe: --seeds B --lambda L --lr R --max-iters N "
+                 "--patience N --damping D\n"
+                 "         --assumption independent|correlated|hybrid\n"
+                 "telemetry: --log-level L --log-json F --trace-out F "
+                 "--metrics-out F\n"
+                 "           --report-out F --profile --profile-out F "
+                 "--profile-stride N\n"
+                 "extractors:");
+    for (const auto& name : smoothe::api::extractorNames())
+        std::fprintf(out, " %s", name.c_str());
+    std::fprintf(out, "\n");
+}
+
 } // namespace
 
 int
@@ -89,6 +114,10 @@ main(int argc, char** argv)
         args, obs::toolNameFromArgv0(argc > 0 ? argv[0] : nullptr,
                                      "smoothe_extract")
                   .c_str());
+    if (args.getBool("help", false)) {
+        printUsage(stdout);
+        return 0;
+    }
 
     std::vector<std::string> inputs;
     const std::string inputList = args.getString("inputs", "");
@@ -98,15 +127,7 @@ main(int argc, char** argv)
     if (inputs.empty() && !input.empty())
         inputs.push_back(input);
     if (inputs.empty()) {
-        std::fprintf(stderr,
-                     "usage: smoothe_extract --input egraph.json "
-                     "[--extractor NAME] [--output out.json]\n"
-                     "       smoothe_extract --inputs a.json,b.json,... "
-                     "[--threads N]\n"
-                     "extractors:");
-        for (const auto& name : api::extractorNames())
-            std::fprintf(stderr, " %s", name.c_str());
-        std::fprintf(stderr, "\n");
+        printUsage(stderr);
         return 2;
     }
 
@@ -132,7 +153,6 @@ main(int argc, char** argv)
     config.patience =
         static_cast<std::size_t>(args.getInt("patience", 60));
     config.damping = static_cast<float>(args.getDouble("damping", 0.0));
-    config.compiledReplay = !args.getBool("eager", false);
     const std::string assumption =
         args.getString("assumption", "hybrid");
     if (assumption == "independent")
@@ -167,15 +187,8 @@ main(int argc, char** argv)
                      "error: --output requires a single --input\n");
         return 2;
     }
-    // Strict --incremental validation: the warm-start path rides on the
-    // compiled replay (Program::patch), so the eager fallback cannot
-    // honor it; epochs only make sense with the protocol enabled.
-    if (incremental && args.getBool("eager", false)) {
-        std::fprintf(stderr,
-                     "error: --incremental requires the compiled replay; "
-                     "drop --eager\n");
-        return 2;
-    }
+    // Strict --incremental validation: epochs only make sense with the
+    // protocol enabled.
     if (args.has("epochs") && !incremental) {
         std::fprintf(stderr,
                      "error: --epochs requires --incremental\n");
